@@ -572,3 +572,21 @@ func TestProlongRestrictComponent(t *testing.T) {
 	// Coarse-fine ghost fill runs without panicking.
 	pr.FillCoarseFine(gc, "u", 1)
 }
+
+// TestDRFMMaxDiffusivityAllocFree: the per-cell CFL scan's transport
+// call keeps its work vectors on the stack, under the race detector too.
+func TestDRFMMaxDiffusivityAllocFree(t *testing.T) {
+	f := harness(t, func(f *cca.Framework) {
+		mustDo(t, f.Instantiate("DRFMComponent", "drfm"))
+	})
+	comp, _ := f.Lookup("drfm")
+	dc := comp.(*DRFMComponent)
+	m := chem.H2Air()
+	Y := m.StoichiometricH2Air()
+	if d := dc.MaxDiffusivity(1500, chem.PAtm, Y); !(d > 0) {
+		t.Fatalf("MaxDiffusivity = %v", d)
+	}
+	if a := testing.AllocsPerRun(100, func() { dc.MaxDiffusivity(1500, chem.PAtm, Y) }); a != 0 {
+		t.Errorf("MaxDiffusivity allocates %.1f/op", a)
+	}
+}

@@ -16,14 +16,7 @@ import (
 // parameter must match the ThermoChemistry instance it serves.
 type DRFMComponent struct {
 	model *transport.Model
-	// scratch recycles the X/D work vectors of MaxDiffusivity, which is
-	// called per cell per CFL check — previously two fresh slices per
-	// call. A sync.Pool keeps the port safe for concurrent callers.
-	scratch sync.Pool
 }
-
-// drfmScratch is one caller's mole-fraction/diffusivity work pair.
-type drfmScratch struct{ X, D []float64 }
 
 // SetServices implements cca.Component.
 func (dc *DRFMComponent) SetServices(svc cca.Services) error {
@@ -33,10 +26,6 @@ func (dc *DRFMComponent) SetServices(svc cca.Services) error {
 		return err
 	}
 	dc.model = transport.New(m)
-	n := m.NumSpecies()
-	dc.scratch.New = func() any {
-		return &drfmScratch{X: make([]float64, n), D: make([]float64, n)}
-	}
 	return svc.AddProvidesPort(dc, "transport", TransportPortType)
 }
 
@@ -48,17 +37,7 @@ func (dc *DRFMComponent) Properties(T, P float64, Y, X, D []float64) (float64, f
 // MaxDiffusivity implements TransportPort: max over species
 // diffusivities and thermal diffusivity at the state.
 func (dc *DRFMComponent) MaxDiffusivity(T, P float64, Y []float64) float64 {
-	mech := dc.model.Mechanism()
-	ws := dc.scratch.Get().(*drfmScratch)
-	lam, rho := dc.model.Evaluate(T, P, Y, ws.X, ws.D)
-	maxD := lam / (rho * mech.CpMass(T, Y))
-	for _, d := range ws.D {
-		if d > maxD {
-			maxD = d
-		}
-	}
-	dc.scratch.Put(ws)
-	return maxD
+	return dc.model.MaxDiffusivity(T, P, Y)
 }
 
 // DiffusionPhysics evaluates the diffusive transport source term

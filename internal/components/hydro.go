@@ -200,7 +200,7 @@ func (cq *CharacteristicQuantities) StableDt(mesh MeshPort, name string, level i
 	})
 	dt := math.Inf(1)
 	for _, v := range partial {
-		if v < dt {
+		if v < dt || math.IsNaN(v) {
 			dt = v
 		}
 	}

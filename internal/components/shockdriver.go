@@ -176,15 +176,17 @@ func (sd *ShockDriver) run() error {
 		if obsSession != nil {
 			stepSpan = obsSession.Span("driver", "shock.step "+strconv.Itoa(step))
 		}
-		// Global stable dt: min over levels, reduced in the port.
+		// Global stable dt: min over levels, reduced in the port. A NaN
+		// from any level (a NaN state) survives the min and trips the
+		// guard below; NaN <= 0 is false, hence the negated test.
 		dt := math.Inf(1)
 		h := mesh.Hierarchy()
 		for l := 0; l < h.NumLevels(); l++ {
-			if v := chars.StableDt(mesh, name, l); v < dt {
+			if v := chars.StableDt(mesh, name, l); v < dt || math.IsNaN(v) {
 				dt = v
 			}
 		}
-		if math.IsInf(dt, 0) || dt <= 0 {
+		if !(dt > 0) || math.IsInf(dt, 0) {
 			return fmt.Errorf("shock driver: bad dt %v at t=%v", dt, t)
 		}
 		if t+dt > tEnd {

@@ -234,6 +234,26 @@ func shockParams(extra ...Param) []Param {
 	return append(base, extra...)
 }
 
+// TestShockDriverNaNStateBadDt injects a NaN state (a NaN Mach number
+// makes the whole post-shock strip NaN) and demands the driver's
+// "bad dt" error, serially and on 2 ranks where only some ranks own the
+// NaN cells. The stable-dt minima propagate NaN rather than dropping it.
+func TestShockDriverNaNStateBadDt(t *testing.T) {
+	params := shockParams(Param{"gas", "mach", "NaN"}, Param{"driver", "maxSteps", "3"})
+	if _, _, err := RunShockInterface(nil, "GodunovFlux", params...); err == nil || !strings.Contains(err.Error(), "bad dt NaN") {
+		t.Fatalf("serial: err = %v, want bad dt NaN", err)
+	}
+	res := cca.RunSCMD(2, mpi.CPlantModel, Repo(), func(f *cca.Framework, comm *mpi.Comm) error {
+		if err := AssembleShockInterface(f, "GodunovFlux", params...); err != nil {
+			return err
+		}
+		return f.Go("driver", "go")
+	})
+	if err := res.Err(); err == nil || !strings.Contains(err.Error(), "bad dt NaN") {
+		t.Fatalf("2 ranks: err = %v, want bad dt NaN", err)
+	}
+}
+
 func TestShockInterfaceEndToEnd(t *testing.T) {
 	dr, f, err := RunShockInterface(nil, "GodunovFlux", shockParams()...)
 	if err != nil {

@@ -68,6 +68,9 @@ type Stats struct {
 var (
 	ErrTooMuchWork  = errors.New("cvode: maximum step count exceeded")
 	ErrStepTooSmall = errors.New("cvode: step size underflow")
+
+	errDivergence    = errors.New("cvode: nonlinear divergence")
+	errNoConvergence = errors.New("cvode: nonlinear iteration failed to converge")
 )
 
 const maxHistory = 7 // up to order 5 needs 7 points for order-raise test
@@ -105,15 +108,23 @@ type Solver struct {
 	// nonlinear failures that caused them).
 	cleanStreak int
 
-	// Newton machinery.
+	// Newton machinery. mat is the solver-owned Newton matrix; refactor
+	// factors it into spare and swaps spare with lu on success, so the
+	// steady state allocates nothing and a singular matrix leaves the
+	// previous factorization in place.
 	jac      *Dense
+	mat      *Dense
 	lu       *LU
+	spare    *LU
 	gammaJac float64 // gamma at last Jacobian build
 	haveJac  bool
 
 	// Scratch.
 	ytmp, ftmp, delta, pred, beta []float64
 	ewt                           []float64
+	// fbase and yp are the finite-difference Jacobian's base RHS and
+	// perturbed state.
+	fbase, yp []float64
 
 	stats Stats
 }
@@ -143,7 +154,12 @@ func New(n int, f RHS, opt Options) *Solver {
 		pred:  make([]float64, n),
 		beta:  make([]float64, n),
 		ewt:   make([]float64, n),
+		fbase: make([]float64, n),
+		yp:    make([]float64, n),
 		jac:   NewDense(n),
+		mat:   NewDense(n),
+		lu:    &LU{},
+		spare: &LU{},
 	}
 	return s
 }
@@ -156,8 +172,8 @@ func (s *Solver) Init(t0 float64, y0 []float64) {
 	s.t = t0
 	s.y = append(s.y[:0], y0...)
 	s.ts = append(s.ts[:0], t0)
-	y := append([]float64(nil), y0...)
-	s.ys = append(s.ys[:0], y)
+	s.ys = s.ys[:1]
+	s.ys[0] = append(s.ys[0][:0], y0...)
 	s.nHist = 1
 	s.order = 1
 	s.h = 0
@@ -216,15 +232,21 @@ func (s *Solver) initialStep() float64 {
 	return h
 }
 
-// pushHistory records an accepted step.
+// pushHistory records an accepted step at the front of the history.
+// The history's backing arrays have capacity maxHistory; the point that
+// falls off the end (or a slot left over from an earlier Init) lends
+// its storage to the new point, so a warmed-up solver allocates nothing.
 func (s *Solver) pushHistory(t float64, y []float64) {
-	cp := append([]float64(nil), y...)
-	s.ts = append([]float64{t}, s.ts...)
-	s.ys = append([][]float64{cp}, s.ys...)
-	if len(s.ts) > maxHistory {
-		s.ts = s.ts[:maxHistory]
-		s.ys = s.ys[:maxHistory]
+	if len(s.ts) < maxHistory {
+		s.ts = s.ts[:len(s.ts)+1]
+		s.ys = s.ys[:len(s.ys)+1]
 	}
+	last := len(s.ys) - 1
+	recycled := s.ys[last]
+	copy(s.ts[1:], s.ts[:last])
+	copy(s.ys[1:], s.ys[:last])
+	s.ts[0] = t
+	s.ys[0] = append(recycled[:0], y...)
 	s.nHist = len(s.ts)
 }
 
@@ -305,8 +327,10 @@ func (s *Solver) buildJacobian(tn float64, y []float64, gamma float64) error {
 	}
 	s.f(tn, y, s.ftmp)
 	s.stats.RHSEvals++
-	base := append([]float64(nil), s.ftmp...)
-	yp := append([]float64(nil), y...)
+	base := s.fbase
+	copy(base, s.ftmp)
+	yp := s.yp
+	copy(yp, y)
 	uround := 2.22e-16
 	srur := math.Sqrt(uround)
 	for j := 0; j < s.n; j++ {
@@ -346,7 +370,7 @@ func (s *Solver) buildJacobian(tn float64, y []float64, gamma float64) error {
 // weighted space all components are tolerance-comparable and partial
 // pivoting is reliable.
 func (s *Solver) refactor(gamma float64) error {
-	m := NewDense(s.n)
+	m := s.mat
 	for i := 0; i < s.n; i++ {
 		for j := 0; j < s.n; j++ {
 			v := -gamma * s.ewt[i] * s.jac.At(i, j) / s.ewt[j]
@@ -356,11 +380,10 @@ func (s *Solver) refactor(gamma float64) error {
 			m.Set(i, j, v)
 		}
 	}
-	lu, err := Factor(m)
-	if err != nil {
+	if err := s.spare.factor(m); err != nil {
 		return err
 	}
-	s.lu = lu
+	s.lu, s.spare = s.spare, s.lu
 	s.gammaJac = gamma
 	return nil
 }
@@ -416,10 +439,10 @@ func (s *Solver) solveNonlinear(tn, gamma float64) error {
 		if iter == 0 {
 			firstNorm = norm
 		} else if norm > 50*firstNorm && norm > 1 {
-			return errors.New("cvode: nonlinear divergence")
+			return errDivergence
 		}
 	}
-	return errors.New("cvode: nonlinear iteration failed to converge")
+	return errNoConvergence
 }
 
 // attemptStep tries one step of the given order and size. On success it
@@ -427,12 +450,12 @@ func (s *Solver) solveNonlinear(tn, gamma float64) error {
 // estimate; on nonlinear failure it returns convErr.
 func (s *Solver) attemptStep(order int, h float64) (errNorm float64, err error) {
 	tn := s.t + h
-	nodes := make([]float64, order+1)
+	var nodeBuf, coefBuf [maxHistory]float64
+	nodes, coef := nodeBuf[:order+1], coefBuf[:order+1]
 	nodes[0] = tn
 	for j := 1; j <= order; j++ {
 		nodes[j] = s.ts[j-1]
 	}
-	coef := make([]float64, order+1)
 	lagrangeDeriv(nodes, coef)
 	gamma := 1 / coef[0]
 	// beta = -(1/c0) Σ_{j>=1} c_j y_{n-j}

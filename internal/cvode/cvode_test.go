@@ -286,6 +286,17 @@ func TestReInitResets(t *testing.T) {
 	if !almost(s.Y()[0], 2*math.Exp(-1), 1e-6) {
 		t.Errorf("y = %v", s.Y()[0])
 	}
+	// History storage recycled from the first run must not leak into
+	// the second: it replays a fresh solver bit for bit.
+	fresh := New(1, func(_ float64, y, ydot []float64) { ydot[0] = -y[0] },
+		Options{RelTol: 1e-8, AbsTol: 1e-12})
+	fresh.Init(0, []float64{2})
+	if err := fresh.Integrate(1); err != nil {
+		t.Fatal(err)
+	}
+	if s.Y()[0] != fresh.Y()[0] || s.Stats() != fresh.Stats() {
+		t.Errorf("re-initialised run (%v, %+v) != fresh run (%v, %+v)", s.Y()[0], s.Stats(), fresh.Y()[0], fresh.Stats())
+	}
 }
 
 func TestStatsPopulated(t *testing.T) {

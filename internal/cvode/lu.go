@@ -39,8 +39,23 @@ type LU struct {
 // Factor computes the LU decomposition with partial pivoting,
 // overwriting an internal copy (m is untouched).
 func Factor(m *Dense) (*LU, error) {
+	f := &LU{}
+	if err := f.factor(m); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// factor is Factor into f's own storage, grown only when m is larger
+// than any matrix f held before. On ErrSingular f's contents are
+// undefined.
+func (f *LU) factor(m *Dense) error {
 	n := m.N
-	f := &LU{n: n, lu: append([]float64(nil), m.A...), piv: make([]int, n)}
+	if cap(f.lu) < n*n {
+		f.lu, f.piv = make([]float64, n*n), make([]int, n)
+	}
+	f.n, f.lu, f.piv = n, f.lu[:n*n], f.piv[:n]
+	copy(f.lu, m.A)
 	for k := 0; k < n; k++ {
 		// Pivot search.
 		p := k
@@ -52,7 +67,7 @@ func Factor(m *Dense) (*LU, error) {
 		}
 		f.piv[k] = p
 		if maxAbs == 0 || math.IsNaN(maxAbs) {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if p != k {
 			for j := 0; j < n; j++ {
@@ -73,7 +88,7 @@ func Factor(m *Dense) (*LU, error) {
 			}
 		}
 	}
-	return f, nil
+	return nil
 }
 
 // Solve overwrites b with the solution of A x = b.

@@ -236,7 +236,8 @@ func (s *Solver) RHSRegion(pd, out *field.PatchData, region amr.Box, dx, dy floa
 	})
 }
 
-// StableDt returns the CFL-limited time step for one patch.
+// StableDt returns the CFL-limited time step for one patch; a NaN
+// state anywhere in the interior makes it NaN.
 func (s *Solver) StableDt(pd *field.PatchData, dx, dy float64) float64 {
 	cfl := s.CFL
 	if cfl <= 0 {
@@ -249,7 +250,7 @@ func (s *Solver) StableDt(pd *field.PatchData, dx, dy float64) float64 {
 			w := s.primAt(pd, i, j)
 			sx, sy := s.Gas.MaxWaveSpeed(w)
 			dt := 1 / (sx/dx + sy/dy)
-			if dt < minDt {
+			if dt < minDt || math.IsNaN(dt) {
 				minDt = dt
 			}
 		}

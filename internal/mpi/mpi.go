@@ -22,6 +22,7 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -31,7 +32,8 @@ import (
 // Op identifies a reduction operator for Reduce/Allreduce.
 type Op int
 
-// Reduction operators.
+// Reduction operators. OpMin and OpMax propagate NaN from either
+// operand, so a NaN contributed by any rank reaches every rank.
 const (
 	OpSum Op = iota
 	OpMax
@@ -58,12 +60,12 @@ func (o Op) apply(a, b float64) float64 {
 	case OpSum:
 		return a + b
 	case OpMax:
-		if a > b {
+		if a > b || math.IsNaN(a) {
 			return a
 		}
 		return b
 	case OpMin:
-		if a < b {
+		if a < b || math.IsNaN(a) {
 			return a
 		}
 		return b

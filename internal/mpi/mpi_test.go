@@ -408,3 +408,28 @@ func TestOpString(t *testing.T) {
 		}
 	}
 }
+
+// TestAllreduceMinMaxPropagateNaN: a NaN contributed by any one rank
+// reaches every rank through OpMin and OpMax, whatever its position.
+func TestAllreduceMinMaxPropagateNaN(t *testing.T) {
+	for nanRank := 0; nanRank < 4; nanRank++ {
+		var mu sync.Mutex
+		var got []float64
+		Run(4, ZeroModel, func(c *Comm) {
+			v := float64(c.Rank() + 1)
+			if c.Rank() == nanRank {
+				v = math.NaN()
+			}
+			lo, hi := c.AllreduceScalar(OpMin, v), c.AllreduceScalar(OpMax, v)
+			mu.Lock()
+			got = append(got, lo, hi)
+			mu.Unlock()
+		})
+		for _, g := range got {
+			if !math.IsNaN(g) {
+				t.Errorf("NaN on rank %d: reductions gave %v, want all NaN", nanRank, got)
+				break
+			}
+		}
+	}
+}

@@ -3,8 +3,10 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -86,10 +88,28 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
-	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+// maxSpecBytes bounds a submitted request body. A spec is a few hundred
+// bytes of JSON, or a scenario of a few KiB; a larger body is refused
+// with 413 before anything is scheduled.
+const maxSpecBytes = 1 << 20
+
+// decodeSpec reads the request body as a Spec, answering 413 for a body
+// over maxSpecBytes and 400 for malformed JSON; ok reports success.
+func decodeSpec(w http.ResponseWriter, r *http.Request) (spec Spec, ok bool) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		http.Error(w, "serve: spec exceeds "+strconv.Itoa(maxSpecBytes)+" bytes", http.StatusRequestEntityTooLarge)
+	case err != nil:
 		http.Error(w, "serve: bad spec: "+err.Error(), http.StatusBadRequest)
+	}
+	return spec, err == nil
+}
+
+func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
+	spec, ok := decodeSpec(w, r)
+	if !ok {
 		return
 	}
 	j, err := s.sched.Submit(spec)
@@ -110,9 +130,8 @@ func (s *Server) list(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) submitArray(w http.ResponseWriter, r *http.Request) {
-	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		http.Error(w, "serve: bad spec: "+err.Error(), http.StatusBadRequest)
+	spec, ok := decodeSpec(w, r)
+	if !ok {
 		return
 	}
 	a, err := s.sched.SubmitArray(spec)

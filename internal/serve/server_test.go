@@ -61,6 +61,34 @@ func waitHTTPDone(t *testing.T, base, id string) Status {
 	return Status{}
 }
 
+// TestSubmitOversizedBody posts a spec body just over maxSpecBytes
+// to both submit paths: each must answer 413 and schedule nothing.
+func TestSubmitOversizedBody(t *testing.T) {
+	sched := newTestSched(t, 1)
+	srv, err := Listen("127.0.0.1:0", sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	base := "http://" + srv.Addr()
+	// Valid JSON up to the bound: a scenario string padded past it.
+	body := append([]byte(`{"problem":"flame","scenario":"`), bytes.Repeat([]byte("x"), maxSpecBytes)...)
+	body = append(body, `"}`...)
+	for _, path := range []string{"/jobs", "/arrays"} {
+		resp, err := http.Post(base+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with %d bytes: status %d, want 413", path, len(body), resp.StatusCode)
+		}
+	}
+	if n, m := len(sched.Jobs()), len(sched.Arrays()); n != 0 || m != 0 {
+		t.Errorf("oversized submissions scheduled %d jobs and %d arrays", n, m)
+	}
+}
+
 // TestServeLiveSmoke is the check.sh live smoke: boot the server,
 // submit two concurrent jobs plus a duplicate over HTTP, stream one
 // job's series, and assert the duplicate was served from the store

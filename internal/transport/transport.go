@@ -4,6 +4,25 @@
 // Neufeld collision-integral fits. It is the stand-in for the DRFM
 // package the paper wraps into its DRFMComponent: same physical model
 // class (Chapman–Enskog with mixture averaging), pure Go.
+//
+// The per-cell entry points (Evaluate, MixtureDiffusion,
+// MixtureConductivity) are the flame's hot path and are organised
+// around work that New does once per mechanism:
+//
+//   - a symmetric pair table: each unordered species pair's binary
+//     diffusivity D_jk is computed once per call and read for both
+//     (j, k) and (k, j), which is exact because σ_jk, ε_jk and the
+//     reduced mass are all built commutatively;
+//   - deduplicated collision integrals: pair well depths ε_jk (and, for
+//     conductivity, species depths ε_k) are deduplicated by exact float
+//     equality, so Ω(1,1) and Ω(2,2) are evaluated once per distinct
+//     depth rather than once per pair or species;
+//   - hoisted temperature-only factors 2π(k_B T)^3 and Pπ.
+//
+// Every expression keeps the operation order of the per-pair formulas
+// (BinaryDiffusion, Viscosity, Conductivity), so the results are bit
+// for bit those of the per-pair evaluation. The per-call tables live on
+// the stack; a Model is immutable after New and safe for concurrent use.
 package transport
 
 import (
@@ -42,7 +61,12 @@ var ljData = map[string]struct {
 	"N2":   {3.621, 97.53},
 }
 
-// Model evaluates transport properties for one mechanism.
+// maxStackSpecies bounds the mechanisms whose per-call pair tables fit
+// in fixed stack arrays; larger ones fall back to heap scratch.
+const maxStackSpecies = 16
+
+// Model evaluates transport properties for one mechanism. It is
+// immutable after New, so one Model serves concurrent callers.
 type Model struct {
 	mech *chem.Mechanism
 	lj   []LJ
@@ -52,6 +76,27 @@ type Model struct {
 	sigmaJK [][]float64
 	epsJK   [][]float64
 	mJK     [][]float64 // reduced mass
+
+	// pairs lists every unordered pair j < k; pairEps holds the distinct
+	// pair well depths ε_jk that pair.eps indexes.
+	pairs   []pair
+	pairEps []float64
+	// Per-species conductivity terms: specEps[k] indexes ε_k in the
+	// distinct depths eps22; visc and area are the species constants
+	// π m_k k_B and π σ_k² of Viscosity; eucken is 5/4 R/W_k.
+	specEps []int
+	eps22   []float64
+	visc    []float64
+	area    []float64
+	eucken  []float64
+}
+
+// pair is one unordered species pair of the diffusion table.
+type pair struct {
+	j, k int
+	eps  int     // index into Model.pairEps
+	s    float64 // σ_jk
+	m    float64 // reduced mass
 }
 
 // New builds a transport model; unknown species fall back to N2-like
@@ -84,7 +129,40 @@ func New(m *chem.Mechanism) *Model {
 			t.mJK[j][k] = t.mass[j] * t.mass[k] / (t.mass[j] + t.mass[k])
 		}
 	}
+	for j := 0; j < n; j++ {
+		for k := j + 1; k < n; k++ {
+			t.pairs = append(t.pairs, pair{
+				j: j, k: k,
+				eps: distinct(&t.pairEps, t.epsJK[j][k]),
+				s:   t.sigmaJK[j][k],
+				m:   t.mJK[j][k],
+			})
+		}
+	}
+	t.specEps = make([]int, n)
+	t.visc = make([]float64, n)
+	t.area = make([]float64, n)
+	t.eucken = make([]float64, n)
+	for k, sp := range m.Species {
+		s := t.lj[k].Sigma
+		t.specEps[k] = distinct(&t.eps22, t.lj[k].EpsOverK)
+		t.visc[k] = math.Pi * t.mass[k] * kB
+		t.area[k] = math.Pi * s * s
+		t.eucken[k] = 1.25 * chem.R / sp.W
+	}
 	return t
+}
+
+// distinct returns the index of v in *set, appending it if no entry is
+// exactly equal.
+func distinct(set *[]float64, v float64) int {
+	for i, x := range *set {
+		if x == v {
+			return i
+		}
+	}
+	*set = append(*set, v)
+	return len(*set) - 1
 }
 
 // Mechanism returns the mechanism the model was built for.
@@ -145,15 +223,37 @@ func (t *Model) Conductivity(k int, T float64) float64 {
 //
 // For a species that is essentially the whole mixture the self-limit
 // D_ii is used. X is mole fractions.
+//
+// D_ij comes from a per-call pair table: each unordered pair once, with
+// Ω(1,1) evaluated once per distinct pair well depth and the T-only
+// factors hoisted. The table entries and the sums are bit for bit those
+// of BinaryDiffusion summed in the same order.
 func (t *Model) MixtureDiffusion(T, P float64, X, Y, D []float64) {
 	n := t.mech.NumSpecies()
+	var dBuf [maxStackSpecies * maxStackSpecies]float64
+	var omBuf [maxStackSpecies * (maxStackSpecies - 1) / 2]float64
+	dij, om := dBuf[:], omBuf[:]
+	if n > maxStackSpecies {
+		dij, om = make([]float64, n*n), make([]float64, len(t.pairEps))
+	}
+	for e, eps := range t.pairEps {
+		om[e] = omega11(T / eps)
+	}
+	c := 2 * math.Pi * math.Pow(kB*T, 3)
+	pPi := P * math.Pi
+	for _, p := range t.pairs {
+		d := 3.0 / 16.0 * math.Sqrt(c/p.m) / (pPi * p.s * p.s * om[p.eps])
+		dij[p.j*n+p.k] = d
+		dij[p.k*n+p.j] = d
+	}
 	for i := 0; i < n; i++ {
 		var sum float64
+		row := dij[i*n : i*n+n]
 		for j := 0; j < n; j++ {
 			if j == i {
 				continue
 			}
-			sum += X[j] / t.BinaryDiffusion(i, j, T, P)
+			sum += X[j] / row[j]
 		}
 		if sum < 1e-300 {
 			D[i] = t.BinaryDiffusion(i, i, T, P)
@@ -164,14 +264,29 @@ func (t *Model) MixtureDiffusion(T, P float64, X, Y, D []float64) {
 }
 
 // MixtureConductivity returns the mixture thermal conductivity from the
-// Mathur combination rule: lambda = (Σ X λ + 1/Σ(X/λ)) / 2.
+// Mathur combination rule: lambda = (Σ X λ + 1/Σ(X/λ)) / 2. Species
+// with X_k <= 0 are skipped; Ω(2,2) is evaluated once per distinct
+// species well depth among the rest, and each λ_k is bit for bit
+// Conductivity(k, T).
 func (t *Model) MixtureConductivity(T float64, X []float64) float64 {
+	var omBuf [maxStackSpecies]float64
+	var haveBuf [maxStackSpecies]bool
+	om, have := omBuf[:], haveBuf[:]
+	if len(t.eps22) > maxStackSpecies {
+		om, have = make([]float64, len(t.eps22)), make([]bool, len(t.eps22))
+	}
 	var s1, s2 float64
 	for k := range X {
 		if X[k] <= 0 {
 			continue
 		}
-		lam := t.Conductivity(k, T)
+		e := t.specEps[k]
+		if !have[e] {
+			om[e] = omega22(T / t.eps22[e])
+			have[e] = true
+		}
+		mu := 5.0 / 16.0 * math.Sqrt(t.visc[k]*T) / (t.area[k] * om[e])
+		lam := mu * (t.mech.Species[k].CpMass(T) + t.eucken[k])
 		s1 += X[k] * lam
 		s2 += X[k] / lam
 	}
@@ -217,4 +332,26 @@ func (t *Model) Evaluate(T, P float64, Y, X, D []float64) (lambda, rho float64) 
 	lambda = t.MixtureConductivity(T, X)
 	rho = t.mech.Density(P, T, Y)
 	return lambda, rho
+}
+
+// MaxDiffusivity returns the largest of the thermal diffusivity
+// λ/(ρ c_p) and the species diffusivities D_i at the state — the
+// coefficient that bounds an explicit diffusion step. Its work vectors
+// live on the stack, so concurrent callers need no scratch.
+func (t *Model) MaxDiffusivity(T, P float64, Y []float64) float64 {
+	n := t.mech.NumSpecies()
+	var xBuf, dBuf [maxStackSpecies]float64
+	X, D := xBuf[:], dBuf[:]
+	if n > maxStackSpecies {
+		X, D = make([]float64, n), make([]float64, n)
+	}
+	X, D = X[:n], D[:n]
+	lam, rho := t.Evaluate(T, P, Y, X, D)
+	maxD := lam / (rho * t.mech.CpMass(T, Y))
+	for _, d := range D {
+		if d > maxD {
+			maxD = d
+		}
+	}
+	return maxD
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -67,7 +68,9 @@ func TestBinaryDiffusionSymmetry(t *testing.T) {
 		T := 300 + float64(tRaw%2200)
 		djk := tr.BinaryDiffusion(j, k, T, chem.PAtm)
 		dkj := tr.BinaryDiffusion(k, j, T, chem.PAtm)
-		return almost(djk, dkj, 1e-12) && djk > 0
+		// Exact: MixtureDiffusion's pair table stores D_jk once for both
+		// orders.
+		return math.Float64bits(djk) == math.Float64bits(dkj) && djk > 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -195,5 +198,156 @@ func TestTransportMonotoneInT(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+var mechanisms = []string{"h2air", "h2air-lite", "co-h2-air"}
+
+// refMixtureDiffusion is the per-pair evaluation the pair table
+// replaces: BinaryDiffusion for every ordered pair, summed in the same
+// order.
+func refMixtureDiffusion(tr *Model, T, P float64, X, Y, D []float64) {
+	for i := range D {
+		var sum float64
+		for j := range D {
+			if j == i {
+				continue
+			}
+			sum += X[j] / tr.BinaryDiffusion(i, j, T, P)
+		}
+		if sum < 1e-300 {
+			D[i] = tr.BinaryDiffusion(i, i, T, P)
+			continue
+		}
+		D[i] = (1 - Y[i]) / sum
+	}
+}
+
+// refMixtureConductivity is the Mathur rule over per-species
+// Conductivity calls.
+func refMixtureConductivity(tr *Model, T float64, X []float64) float64 {
+	var s1, s2 float64
+	for k := range X {
+		if X[k] <= 0 {
+			continue
+		}
+		lam := tr.Conductivity(k, T)
+		s1 += X[k] * lam
+		s2 += X[k] / lam
+	}
+	if s2 == 0 {
+		return 0
+	}
+	return 0.5 * (s1 + 1/s2)
+}
+
+// randomState draws T in [150, 3650] K, P in [0.5, 1.5] atm and mass
+// fractions with random zeros; every 25th state is a pure species.
+func randomState(rng *rand.Rand, n, s int, Y []float64) (T, P float64) {
+	T = 150 + 3500*rng.Float64()
+	P = chem.PAtm * (0.5 + rng.Float64())
+	for k := range Y {
+		Y[k] = 0
+	}
+	if s%25 == 0 {
+		Y[rng.Intn(n)] = 1
+		return T, P
+	}
+	var sum float64
+	for k := range Y {
+		if rng.Intn(3) != 0 {
+			Y[k] = rng.Float64()
+			sum += Y[k]
+		}
+	}
+	if sum == 0 {
+		Y[rng.Intn(n)], sum = 1, 1
+	}
+	for k := range Y {
+		Y[k] /= sum
+	}
+	return T, P
+}
+
+// TestMixturePropertiesBitExact holds the pair-table evaluation to the
+// per-pair reference bit for bit (NaN equal to NaN) on random states of
+// every mechanism.
+func TestMixturePropertiesBitExact(t *testing.T) {
+	for _, name := range mechanisms {
+		m, err := chem.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := New(m)
+		n := m.NumSpecies()
+		Y, X := make([]float64, n), make([]float64, n)
+		D, want := make([]float64, n), make([]float64, n)
+		rng := rand.New(rand.NewSource(int64(n)))
+		for s := 0; s < 20000; s++ {
+			T, P := randomState(rng, n, s, Y)
+			m.MoleFractions(Y, X)
+			tr.MixtureDiffusion(T, P, X, Y, D)
+			refMixtureDiffusion(tr, T, P, X, Y, want)
+			for i := range D {
+				if math.Float64bits(D[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: T=%v P=%v Y=%v: D[%d] = %v, per-pair %v", name, T, P, Y, i, D[i], want[i])
+				}
+			}
+			lam, wantLam := tr.MixtureConductivity(T, X), refMixtureConductivity(tr, T, X)
+			if math.Float64bits(lam) != math.Float64bits(wantLam) {
+				t.Fatalf("%s: T=%v X=%v: lambda = %v, per-species %v", name, T, X, lam, wantLam)
+			}
+		}
+	}
+}
+
+func TestEvaluateAllocFree(t *testing.T) {
+	for _, name := range mechanisms {
+		m, _ := chem.ByName(name)
+		tr := New(m)
+		n := m.NumSpecies()
+		Y := make([]float64, n)
+		Y[0], Y[n-1] = 0.1, 0.9
+		X, D := make([]float64, n), make([]float64, n)
+		if a := testing.AllocsPerRun(100, func() { tr.Evaluate(1500, chem.PAtm, Y, X, D) }); a != 0 {
+			t.Errorf("%s: Evaluate allocates %.1f/op", name, a)
+		}
+		if a := testing.AllocsPerRun(100, func() { tr.MaxDiffusivity(1500, chem.PAtm, Y) }); a != 0 {
+			t.Errorf("%s: MaxDiffusivity allocates %.1f/op", name, a)
+		}
+	}
+}
+
+func TestMaxDiffusivity(t *testing.T) {
+	m := chem.H2Air()
+	tr := New(m)
+	Y := m.StoichiometricH2Air()
+	n := m.NumSpecies()
+	X, D := make([]float64, n), make([]float64, n)
+	lam, rho := tr.Evaluate(1000, chem.PAtm, Y, X, D)
+	want := lam / (rho * m.CpMass(1000, Y))
+	for _, d := range D {
+		want = math.Max(want, d)
+	}
+	if got := tr.MaxDiffusivity(1000, chem.PAtm, Y); got != want {
+		t.Errorf("MaxDiffusivity = %v, want %v", got, want)
+	}
+}
+
+// BenchmarkEvaluate measures one cell's transport evaluation (the
+// flame's per-cell, per-stage call) for each mechanism.
+func BenchmarkEvaluate(b *testing.B) {
+	for _, name := range mechanisms {
+		m, _ := chem.ByName(name)
+		tr := New(m)
+		n := m.NumSpecies()
+		Y, X, D := make([]float64, n), make([]float64, n), make([]float64, n)
+		randomState(rand.New(rand.NewSource(1)), n, 1, Y)
+		b.Run(fmt.Sprintf("%s-%dsp", name, n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tr.Evaluate(1500, chem.PAtm, Y, X, D)
+			}
+		})
 	}
 }
