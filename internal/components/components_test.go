@@ -9,6 +9,7 @@ import (
 	"ccahydro/internal/cca"
 	"ccahydro/internal/chem"
 	"ccahydro/internal/euler"
+	"ccahydro/internal/exec"
 	"ccahydro/internal/field"
 )
 
@@ -414,9 +415,11 @@ func TestStatesComponentLimiterParameter(t *testing.T) {
 			}
 		}
 	}
-	l, r := st.Pair(g, pd, 4, 4, 0)
-	if l.Rho != 1 || r.Rho != 2 {
-		t.Errorf("first-order states = %v, %v", l.Rho, r.Rho)
+	// One x line of 9 faces along row 4; face 4 sits at the jump.
+	w, l, r := make([]euler.Primitive, 12), make([]euler.Primitive, 9), make([]euler.Primitive, 9)
+	st.Line(g, pd, 0, 4, 0, w, l, r)
+	if l[4].Rho != 1 || r[4].Rho != 2 {
+		t.Errorf("first-order states = %v, %v", l[4].Rho, r[4].Rho)
 	}
 }
 
@@ -425,11 +428,13 @@ func TestFluxComponentsAgreeOnSmooth(t *testing.T) {
 	ef := &EFMFluxComp{}
 	g := euler.Gas{Gamma: 1.4}
 	w := euler.Primitive{Rho: 1.2, U: 0.3, V: -0.1, P: 2, Zeta: 0.5}
-	fg := gf.Flux(g, w, w)
-	fe := ef.Flux(g, w, w)
+	ws := []euler.Primitive{w}
+	fg, fe := make([]euler.Conserved, 1), make([]euler.Conserved, 1)
+	gf.Line(g, ws, ws, fg)
+	ef.Line(g, ws, ws, fe)
 	for k := 0; k < euler.NumComp; k++ {
-		if math.Abs(fg[k]-fe[k]) > 1e-9*math.Max(1, math.Abs(fg[k])) {
-			t.Errorf("flux[%d]: godunov %v, efm %v", k, fg[k], fe[k])
+		if math.Abs(fg[0][k]-fe[0][k]) > 1e-9*math.Max(1, math.Abs(fg[0][k])) {
+			t.Errorf("flux[%d]: godunov %v, efm %v", k, fg[0][k], fe[0][k])
 		}
 	}
 }
@@ -588,5 +593,39 @@ func TestDRFMMaxDiffusivityAllocFree(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(100, func() { dc.MaxDiffusivity(1500, chem.PAtm, Y) }); a != 0 {
 		t.Errorf("MaxDiffusivity allocates %.1f/op", a)
+	}
+}
+
+// TestInteriorExtremaPropagateNaN: the flame driver's final T scan
+// reports NaN for both extrema when any interior cell is NaN, whichever
+// patch holds it and whatever the pool width, instead of the max/min of
+// the remaining cells. Ghost cells are not scanned.
+func TestInteriorExtremaPropagateNaN(t *testing.T) {
+	dom := amr.NewBox(0, 0, 15, 7)
+	boxes := []amr.Box{amr.NewBox(0, 0, 7, 7), amr.NewBox(8, 0, 15, 7)}
+	h := amr.NewHierarchyDecomposed(dom, 2, 1, 1, boxes, []int{0, 0})
+	d := field.New("phi", h, 1, 2, nil)
+	patches := d.LocalPatches(0)
+	fill := func() {
+		for n, pd := range patches {
+			pd.Fill(0, 1000)
+			pd.Set(0, pd.Interior().Lo[0]+1, 3, 1500+float64(n))
+			pd.Set(0, pd.Interior().Lo[0]+2, 4, 300-float64(n))
+		}
+		patches[0].Set(0, -1, 0, math.NaN()) // a ghost: ignored
+	}
+	for _, width := range []int{1, 2} {
+		pool := exec.NewPool(width)
+		fill()
+		if hi, lo := interiorExtrema(pool, patches, 0); hi != 1501 || lo != 299 {
+			t.Errorf("width %d: extrema (%v, %v), want (1501, 299)", width, hi, lo)
+		}
+		for n := range patches {
+			fill()
+			patches[n].Set(0, patches[n].Interior().Lo[0]+5, 5, math.NaN())
+			if hi, lo := interiorExtrema(pool, patches, 0); !math.IsNaN(hi) || !math.IsNaN(lo) {
+				t.Errorf("width %d, NaN in patch %d: extrema (%v, %v), want NaN", width, n, hi, lo)
+			}
+		}
 	}
 }

@@ -14,27 +14,25 @@ import (
 // States reconstructs limited left/right face states (paper Sec. 4.3).
 // Parameter "limiter" selects mc (default), minmod or first.
 type States struct {
-	fn euler.StatesFunc
+	lim euler.Limiter
 }
 
 // SetServices implements cca.Component.
 func (st *States) SetServices(svc cca.Services) error {
-	var lim euler.Limiter
 	switch svc.Parameters().GetString("limiter", "mc") {
 	case "minmod":
-		lim = euler.MinMod
+		st.lim = euler.MinMod
 	case "first":
-		lim = euler.FirstOrder
+		st.lim = euler.FirstOrder
 	default:
-		lim = euler.MC
+		st.lim = euler.MC
 	}
-	st.fn = euler.MUSCLStates(lim)
 	return svc.AddProvidesPort(st, "states", StatesPortType)
 }
 
-// Pair implements StatesPort.
-func (st *States) Pair(g euler.Gas, pd *field.PatchData, i, j, dir int) (euler.Primitive, euler.Primitive) {
-	return st.fn(g, pd, i, j, dir)
+// Line implements StatesPort.
+func (st *States) Line(g euler.Gas, pd *field.PatchData, i, j, dir int, w, l, r []euler.Primitive) {
+	euler.ReconstructLine(g, st.lim, pd, i, j, dir, w, l, r)
 }
 
 // GodunovFluxComp provides the exact-Riemann Godunov flux.
@@ -45,9 +43,9 @@ func (gf *GodunovFluxComp) SetServices(svc cca.Services) error {
 	return svc.AddProvidesPort(gf, "flux", FluxPortType)
 }
 
-// Flux implements FluxPort.
-func (gf *GodunovFluxComp) Flux(g euler.Gas, l, r euler.Primitive) euler.Conserved {
-	return euler.GodunovFlux(g, l, r)
+// Line implements FluxPort.
+func (gf *GodunovFluxComp) Line(g euler.Gas, l, r []euler.Primitive, f []euler.Conserved) {
+	euler.FluxFunc(euler.GodunovFlux).Line(g, l, r, f)
 }
 
 // HLLCFluxComp provides the HLLC approximate Riemann flux — a third
@@ -60,9 +58,9 @@ func (hf *HLLCFluxComp) SetServices(svc cca.Services) error {
 	return svc.AddProvidesPort(hf, "flux", FluxPortType)
 }
 
-// Flux implements FluxPort.
-func (hf *HLLCFluxComp) Flux(g euler.Gas, l, r euler.Primitive) euler.Conserved {
-	return euler.HLLCFlux(g, l, r)
+// Line implements FluxPort.
+func (hf *HLLCFluxComp) Line(g euler.Gas, l, r []euler.Primitive, f []euler.Conserved) {
+	euler.FluxFunc(euler.HLLCFlux).Line(g, l, r, f)
 }
 
 // EFMFluxComp provides Pullin's Equilibrium Flux Method — the paper's
@@ -74,15 +72,17 @@ func (ef *EFMFluxComp) SetServices(svc cca.Services) error {
 	return svc.AddProvidesPort(ef, "flux", FluxPortType)
 }
 
-// Flux implements FluxPort.
-func (ef *EFMFluxComp) Flux(g euler.Gas, l, r euler.Primitive) euler.Conserved {
-	return euler.EFMFlux(g, l, r)
+// Line implements FluxPort.
+func (ef *EFMFluxComp) Line(g euler.Gas, l, r []euler.Primitive, f []euler.Conserved) {
+	euler.FluxFunc(euler.EFMFlux).Line(g, l, r, f)
 }
 
 // InviscidFlux is the adaptor that supplies the right-hand side of the
 // Euler equations patch by patch: it uses a States component to set up
-// the Riemann problem at each cell interface and passes it to the
-// connected flux component for the solution (paper Sec. 4.3).
+// the Riemann problems along each sweep line and passes them to the
+// connected flux component for the solution (paper Sec. 4.3). Both
+// ports are called once per line, not once per face, so the component
+// boundary is crossed O(rows + columns) times per patch.
 type InviscidFlux struct {
 	svc cca.Services
 	// The assembled solver resolves once: ports are interface values
@@ -133,8 +133,8 @@ func (iv *InviscidFlux) solver() *euler.Solver {
 		}
 		iv.solved = euler.Solver{
 			Gas:    euler.Gas{Gamma: gamma},
-			Flux:   fp.(FluxPort).Flux,
-			States: sp.(StatesPort).Pair,
+			Flux:   fp.(FluxPort).Line,
+			States: sp.(StatesPort).Line,
 			// Nested parallelism: the integrator fans patches out, and
 			// within a patch the solver fans rows out on the same pool
 			// (caller participation makes the nesting deadlock-free).

@@ -320,11 +320,10 @@ type iFlux struct {
 	h     *obs.PortCall
 }
 
-func (p *iFlux) Flux(g euler.Gas, l, r euler.Primitive) euler.Conserved {
+func (p *iFlux) Line(g euler.Gas, l, r []euler.Primitive, f []euler.Conserved) {
 	t0 := time.Now()
-	f := p.inner.Flux(g, l, r)
+	p.inner.Line(g, l, r, f)
 	obsSince(p.h, t0)
-	return f
 }
 
 // iStates instruments hydro.StatesPort.
@@ -333,11 +332,10 @@ type iStates struct {
 	h     *obs.PortCall
 }
 
-func (p *iStates) Pair(g euler.Gas, pd *field.PatchData, i, j, dir int) (euler.Primitive, euler.Primitive) {
+func (p *iStates) Line(g euler.Gas, pd *field.PatchData, i, j, dir int, w, l, r []euler.Primitive) {
 	t0 := time.Now()
-	l, r := p.inner.Pair(g, pd, i, j, dir)
+	p.inner.Line(g, pd, i, j, dir, w, l, r)
 	obsSince(p.h, t0)
-	return l, r
 }
 
 // iCharacteristics instruments hydro.CharacteristicsPort.
@@ -587,14 +585,14 @@ func init() {
 		if !ok {
 			return nil
 		}
-		return &iFlux{inner: r, h: h(o, inst, port, "Flux")}
+		return &iFlux{inner: r, h: h(o, inst, port, "Line")}
 	})
 	reg(StatesPortType, func(o *obs.Obs, inst, port string, inner cca.Port) cca.Port {
 		r, ok := inner.(StatesPort)
 		if !ok {
 			return nil
 		}
-		return &iStates{inner: r, h: h(o, inst, port, "Pair")}
+		return &iStates{inner: r, h: h(o, inst, port, "Line")}
 	})
 	reg(CharacteristicsPortType, func(o *obs.Obs, inst, port string, inner cca.Port) cca.Port {
 		r, ok := inner.(CharacteristicsPort)

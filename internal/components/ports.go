@@ -235,18 +235,23 @@ type MultiLevelChemistryPort interface {
 	AdvanceChemistryLevels(mesh MeshPort, name string, dt float64) (cells int, err error)
 }
 
-// FluxPort computes an interface flux from reconstructed left/right
-// states — the seam where GodunovFlux and EFMFlux interchange.
+// FluxPort computes interface fluxes from reconstructed left/right
+// states, one sweep line at a time — the seam where GodunovFlux and
+// EFMFlux interchange.
 type FluxPort interface {
-	Flux(g euler.Gas, l, r euler.Primitive) euler.Conserved
+	// Line fills f[k] with the x-sweep flux between l[k] and r[k]; the
+	// three slices have equal length.
+	Line(g euler.Gas, l, r []euler.Primitive, f []euler.Conserved)
 }
 
 // StatesPort reconstructs limited left/right states (the paper's
-// States component).
+// States component), one sweep line at a time.
 type StatesPort interface {
-	// Pair returns the face states between cells (i-1,j)-(i,j) (dir 0)
-	// or (i,j-1)-(i,j) (dir 1).
-	Pair(g euler.Gas, pd *field.PatchData, i, j, dir int) (euler.Primitive, euler.Primitive)
+	// Line fills l[f], r[f] with the states either side of face f of a
+	// line of len(l) faces: between cells (i+f-1, j) and (i+f, j) for
+	// dir 0, or (i, j+f-1) and (i, j+f) for dir 1 with u and v swapped.
+	// w is caller scratch of at least len(l)+3 primitives.
+	Line(g euler.Gas, pd *field.PatchData, i, j, dir int, w, l, r []euler.Primitive)
 }
 
 // CharacteristicsPort reports characteristic speeds for time-step

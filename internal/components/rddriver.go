@@ -2,11 +2,13 @@ package components
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
 	"ccahydro/internal/cca"
 	"ccahydro/internal/ckpt"
+	"ccahydro/internal/exec"
 	"ccahydro/internal/field"
 	"ccahydro/internal/telemetry"
 )
@@ -292,45 +294,53 @@ func (dr *RDDriver) run() error {
 	}
 
 	// Final temperature extrema (rank-local; experiments reduce them).
-	// Patch scans fan out over the pool; min/max folds are
-	// order-independent, so the result matches the serial scan exactly.
 	d := mesh.Field(name)
-	dr.TMax, dr.TMin = -1e300, 1e300
 	h := mesh.Hierarchy()
 	var scan []*field.PatchData
 	for l := 0; l < h.NumLevels(); l++ {
 		scan = append(scan, d.LocalPatches(l)...)
 	}
-	his := make([]float64, len(scan))
-	los := make([]float64, len(scan))
-	optionalPool(dr.svc).ForEach(len(scan), func(_, n int) {
-		pd := scan[n]
-		b := pd.Interior()
-		hi, lo := -1e300, 1e300
-		for j := b.Lo[1]; j <= b.Hi[1]; j++ {
-			for i := b.Lo[0]; i <= b.Hi[0]; i++ {
-				v := pd.At(0, i, j)
-				if v > hi {
-					hi = v
-				}
-				if v < lo {
-					lo = v
-				}
-			}
-		}
-		his[n], los[n] = hi, lo
-	})
-	for n := range scan {
-		if his[n] > dr.TMax {
-			dr.TMax = his[n]
-		}
-		if los[n] < dr.TMin {
-			dr.TMin = los[n]
-		}
-	}
+	dr.TMax, dr.TMin = interiorExtrema(optionalPool(dr.svc), scan, 0)
 	if stats != nil {
 		stats.Record("Tmax", dr.TMax)
 		stats.Record("Tmin", dr.TMin)
 	}
 	return nil
+}
+
+// interiorExtrema returns the max and min of component comp over the
+// interiors of patches (-1e300 and 1e300 when there are none). Patch
+// scans fan out over the pool; min/max folds are order-independent, so
+// the result matches the serial scan exactly. A NaN anywhere makes both
+// extrema NaN.
+func interiorExtrema(pool *exec.Pool, patches []*field.PatchData, comp int) (hi, lo float64) {
+	his := make([]float64, len(patches))
+	los := make([]float64, len(patches))
+	pool.ForEach(len(patches), func(_, n int) {
+		pd := patches[n]
+		b := pd.Interior()
+		ph, pl := -1e300, 1e300
+		for j := b.Lo[1]; j <= b.Hi[1]; j++ {
+			for i := b.Lo[0]; i <= b.Hi[0]; i++ {
+				v := pd.At(comp, i, j)
+				if v > ph || math.IsNaN(v) {
+					ph = v
+				}
+				if v < pl || math.IsNaN(v) {
+					pl = v
+				}
+			}
+		}
+		his[n], los[n] = ph, pl
+	})
+	hi, lo = -1e300, 1e300
+	for n := range patches {
+		if his[n] > hi || math.IsNaN(his[n]) {
+			hi = his[n]
+		}
+		if los[n] < lo || math.IsNaN(los[n]) {
+			lo = los[n]
+		}
+	}
+	return hi, lo
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -181,5 +182,61 @@ func TestObservabilityTraceFile(t *testing.T) {
 	}
 	if len(execTids) < 2 {
 		t.Errorf("exec spans confined to %d track(s), want per-worker tracks", len(execTids))
+	}
+}
+
+// TestObservabilityShockLinePorts: with port-call interception attached,
+// the shock run is bit for bit the plain run, and the states and flux
+// wires are crossed once per sweep line, not once per face. Every RK
+// stage sweeps each row and column of the grid at least once; a
+// per-face port would cross each wire more than twice per cell and
+// stage, the line ports stay under one crossing per two.
+func TestObservabilityShockLinePorts(t *testing.T) {
+	restoreDefaultPool(t)
+	exec.SetDefaultWidth(2)
+	const nx, ny, steps, stages = 32, 16, 4, 2
+	params := []Param{
+		{"grace", "nx", "32"}, {"grace", "ny", "16"}, {"grace", "maxLevels", "1"},
+		{"driver", "maxSteps", "4"}, {"driver", "regridEvery", "0"},
+	}
+	_, fOff, err := RunShockInterface(nil, "GodunovFlux", params...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := snapshotField(t, fOff, "U")
+
+	group := obs.NewGroup(1)
+	f := cca.NewFramework(Repo(), nil)
+	f.SetObservability(group.Rank(0))
+	if err := AssembleShockInterface(f, "GodunovFlux", params...); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Go("driver", "go"); err != nil {
+		t.Fatal(err)
+	}
+	got := snapshotField(t, f, "U")
+	if len(ref) != len(got) {
+		t.Fatalf("field sizes differ: %d vs %d", len(ref), len(got))
+	}
+	for i := range ref {
+		if math.Float64bits(ref[i]) != math.Float64bits(got[i]) {
+			t.Fatalf("cell %d differs: plain %v, observed %v", i, ref[i], got[i])
+		}
+	}
+
+	var states, flux uint64
+	for _, h := range group.MergedSnapshot().Histograms {
+		switch h.Name {
+		case obs.PortCallName("inviscid", "states", "Line"):
+			states += h.Count
+		case obs.PortCallName("inviscid", "flux", "Line"):
+			flux += h.Count
+		}
+	}
+	minLines := uint64((nx + ny) * steps * stages)
+	cellStages := uint64(nx * ny * steps * stages)
+	if states != flux || states < minLines || 2*states > cellStages {
+		t.Errorf("states wire %d calls, flux wire %d: want equal, at least %d (one per row and column per stage) and at most %d (one per two cell-stages)",
+			states, flux, minLines, cellStages/2)
 	}
 }

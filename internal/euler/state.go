@@ -91,9 +91,3 @@ func swapUV(w Primitive) Primitive {
 	w.U, w.V = w.V, w.U
 	return w
 }
-
-// swapFlux converts an x-sweep flux back into a y-sweep flux.
-func swapFlux(f Conserved) Conserved {
-	f[IMx], f[IMy] = f[IMy], f[IMx]
-	return f
-}

@@ -3,8 +3,9 @@
 # suite, then race-detector runs on the packages with intra-rank
 # parallelism (the exec epoch engine — persistent workers claiming
 # chunks off a lock-free claim word — and everything that fans patch
-# loops out over it, including the RKC stages) plus the checkpoint
-# subsystem — internal/core under -race includes the cross-P
+# loops out over it, including the RKC stages, and the Euler sweeps,
+# whose per-line scratch is handed to concurrent pool chunks) plus the
+# checkpoint subsystem — internal/core under -race includes the cross-P
 # elastic-restore matrix (all {1,2,4}->{1,2,4} pairs) and the
 # delta-chain crash torture tests. internal/exec also asserts the
 # steady-state epoch handoff allocates nothing (TestEpochHandoffZeroAlloc).
@@ -54,11 +55,11 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race (epoch engine + drivers + message substrate + observability + checkpoint)"
+echo "== go test -race (epoch engine + drivers + Euler sweeps + message substrate + observability + checkpoint)"
 go test -race ./internal/exec/... ./internal/components/... ./internal/core/... \
 	./internal/mpi/... ./internal/field/... ./internal/obs/... ./internal/cca/... \
 	./internal/ckpt/... ./internal/chem/... ./internal/rkc/... ./internal/telemetry/... \
-	./internal/serve/... ./internal/scenario/...
+	./internal/serve/... ./internal/scenario/... ./internal/euler/...
 
 echo "== scenario gate (library parse-validates, fuzz corpus replays, golden bit-for-bit equivalence)"
 go test -run 'TestScenarioLibraryCompiles|FuzzParseScenario|TestGolden' -count=1 ./internal/scenario/
